@@ -22,6 +22,8 @@ struct OnlineUpdateConfig {
   std::uint32_t max_extension_per_field = 1300;  // ~2% of a 16-bit domain
   /// Stop updating after this many applied extensions (safety valve).
   std::size_t max_updates = 10'000;
+
+  bool operator==(const OnlineUpdateConfig&) const = default;
 };
 
 class WhitelistUpdater {

@@ -425,45 +425,6 @@ int CompiledVoteWhitelist::classify(std::span<const std::uint32_t> key) const {
   return 2 * (tree_count - benign) > tree_count ? 1 : 0;
 }
 
-void CompiledVoteWhitelist::classify_batch(std::span<const std::uint32_t> keys,
-                                           std::size_t width, std::span<int> out) const {
-  constexpr std::size_t kB = 256;  // stack scratch per block
-  const std::size_t n = out.size();
-  if (keys.size() < n * width) return;  // malformed: leave out untouched
-  if (tree_count == 0) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = 0;
-    return;
-  }
-  const std::size_t need = (tree_count + 1) / 2;
-  for (std::size_t base = 0; base < n; base += kB) {
-    const std::size_t m = std::min(kB, n - base);
-    std::uint16_t benign[kB];
-    std::uint8_t decided[kB];
-    std::uint8_t hit[kB];
-    std::fill(benign, benign + m, static_cast<std::uint16_t>(0));
-    std::fill(decided, decided + m, static_cast<std::uint8_t>(0));
-    std::size_t undecided = m;
-    for (std::size_t t = 0; t < tables.size() && undecided > 0; ++t) {
-      tables[t].matches_any_batch(keys.subspan(base * width, m * width), width,
-                                  std::span<std::uint8_t>(hit, m), decided);
-      const std::size_t remaining = tables.size() - t - 1;
-      for (std::size_t i = 0; i < m; ++i) {
-        if (decided[i] != 0) continue;
-        benign[i] = static_cast<std::uint16_t>(benign[i] + hit[i]);
-        if (benign[i] >= need) {
-          out[base + i] = 0;
-          decided[i] = 1;
-          --undecided;
-        } else if (benign[i] + remaining < need) {
-          out[base + i] = 1;
-          decided[i] = 1;
-          --undecided;
-        }
-      }
-    }
-  }
-}
-
 double CompiledVoteWhitelist::malicious_vote_fraction(std::span<const std::uint32_t> key) const {
   if (tree_count == 0) return 1.0;
   std::size_t benign = 0;

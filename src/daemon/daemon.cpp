@@ -43,6 +43,10 @@ std::string reload_incompatibility(const DaemonConfig& cur, const DaemonConfig& 
   if (rd.limits.max_record_bytes != rc.limits.max_record_bytes)
     return changed("reader.limits.max_record_bytes");
   if (rd.limits.max_records != rc.limits.max_records) return changed("reader.limits.max_records");
+  if (rd.limits.quarantine_capacity != rc.limits.quarantine_capacity)
+    return changed("reader.limits.quarantine_capacity");
+  if (rd.limits.quarantine_snippet_bytes != rc.limits.quarantine_snippet_bytes)
+    return changed("reader.limits.quarantine_snippet_bytes");
   const auto& pn = next.pipeline;
   const auto& pc = cur.pipeline;
   if (pn.packet_threshold_n != pc.packet_threshold_n)
@@ -53,8 +57,6 @@ std::string reload_incompatibility(const DaemonConfig& cur, const DaemonConfig& 
   if (pn.blacklist_capacity != pc.blacklist_capacity)
     return changed("pipeline.blacklist_capacity");
   if (pn.eviction != pc.eviction) return changed("pipeline.eviction");
-  if (pn.match_engine != pc.match_engine) return changed("pipeline.match_engine");
-  if (pn.batch_size != pc.batch_size) return changed("pipeline.batch_size");
   if (pn.swap.enabled != pc.swap.enabled) return changed("pipeline.swap.enabled");
   if (pn.swap.publish_after_extensions != pc.swap.publish_after_extensions)
     return changed("pipeline.swap.publish_after_extensions");
@@ -62,6 +64,9 @@ std::string reload_incompatibility(const DaemonConfig& cur, const DaemonConfig& 
     return changed("pipeline.swap.swap_latency_s");
   if (pn.swap.recent_capacity != pc.swap.recent_capacity)
     return changed("pipeline.swap.recent_capacity");
+  // The swap loop copies its updater and drift settings at construction.
+  if (pn.swap.update != pc.swap.update) return changed("pipeline.swap.update");
+  if (pn.swap.drift != pc.swap.drift) return changed("pipeline.swap.drift");
   const auto& cn = pn.control;
   const auto& cc = pc.control;
   if (cn.control_latency_s != cc.control_latency_s)
@@ -74,13 +79,10 @@ std::string reload_incompatibility(const DaemonConfig& cur, const DaemonConfig& 
     return changed("pipeline.control.retry_backoff_s");
   if (cn.retry_backoff_cap_s != cc.retry_backoff_cap_s)
     return changed("pipeline.control.retry_backoff_cap_s");
-  if (cn.faults.digest_loss_rate != cc.faults.digest_loss_rate ||
-      cn.faults.digest_delay_rate != cc.faults.digest_delay_rate ||
-      cn.faults.install_failure_rate != cc.faults.install_failure_rate ||
-      cn.faults.crashes.size() != cc.faults.crashes.size() ||
-      cn.faults.bursts.size() != cc.faults.bursts.size()) {
-    return changed("pipeline.control.faults");
-  }
+  // The fault programme is fixed into each controller at construction:
+  // any change to it, a moved crash window included, would be accepted and
+  // never applied.
+  if (cn.faults != cc.faults) return changed("pipeline.control.faults");
   return {};
 }
 

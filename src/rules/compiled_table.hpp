@@ -9,7 +9,8 @@
 // first set bit of the intersection is the highest-priority match — exactly
 // the TCAM's priority encoder. Results are bit-identical to RuleTable by
 // construction (tests/test_compiled_table.cpp property-checks this on random
-// rule sets), which is what lets the pipeline swap engines freely.
+// rule sets and on real trace keys), so the linear RuleTable serves only as
+// the test oracle.
 #pragma once
 
 #include <cstdint>
@@ -40,29 +41,6 @@ class CompiledRuleTable {
 
   /// True iff any rule matches (the per-tree benign vote). No allocation.
   bool matches_any(std::span<const std::uint32_t> key) const { return match_index(key) >= 0; }
-
-  /// Batch width above which the batched entry points fall back to per-key
-  /// scalar lookups (the row-pointer scratch is stack-resident).
-  static constexpr std::size_t kMaxBatchWidth = 16;
-
-  /// Batched match: `keys` holds out.size() row-major keys of `width` fields
-  /// each; out[i] = match_index(key_i). The per-field interval binary
-  /// searches run field-major across the batch (one field's bounds array
-  /// stays cache-resident for every key) before the per-key bitmask AND
-  /// sweeps. Bit-exact with the scalar loop; no heap allocation. `skip`
-  /// (optional, out.size() bytes) marks keys to leave untouched.
-  void match_index_batch(std::span<const std::uint32_t> keys, std::size_t width,
-                         std::span<int> out, const std::uint8_t* skip = nullptr) const;
-
-  /// Batched any-match (the per-tree benign vote): out[i] = matches_any.
-  /// Same amortisation and exactness contract as match_index_batch.
-  void matches_any_batch(std::span<const std::uint32_t> keys, std::size_t width,
-                         std::span<std::uint8_t> out, const std::uint8_t* skip = nullptr) const;
-
-  /// Batched whitelist classify: matched rule's label, else 1. Bit-exact
-  /// with per-key classify; no allocation.
-  void classify_batch(std::span<const std::uint32_t> keys, std::size_t width,
-                      std::span<int> out) const;
 
   /// First matching rule in priority order — same contract as
   /// RuleTable::match (copies the rule; use match_index on hot paths).

@@ -50,57 +50,6 @@ void Quantizer::quantize_into(std::span<const double> x, std::span<std::uint32_t
   for (std::size_t j = 0; j < x.size(); ++j) out[j] = quantize_value(j, x[j]);
 }
 
-void Quantizer::quantize_batch_into(std::size_t field, std::span<const double> v,
-                                    std::span<std::uint32_t> out) const {
-  if (field >= lo_.size()) throw std::invalid_argument("Quantizer: field out of range");
-  if (out.size() < v.size()) throw std::invalid_argument("Quantizer: output buffer too small");
-  // Same expressions as quantize_value, with the field constants hoisted:
-  // ((x - lo) / span) * dmax evaluates in the identical order, so every
-  // element equals quantize_value(field, v[i]) bit for bit.
-  const double lo = lo_[field];
-  const double span = hi_[field] - lo_[field];
-  const double dmax = static_cast<double>(domain_max());
-  const std::uint32_t top = domain_max();
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    const double x = v[i];
-    if (std::isnan(x)) {
-      out[i] = 0;
-      continue;
-    }
-    const double scaled = (x - lo) / span * dmax;
-    out[i] = scaled <= 0.0 ? 0u
-                           : (scaled >= dmax ? top : static_cast<std::uint32_t>(scaled));
-  }
-}
-
-void Quantizer::quantize_rows_into(std::span<const double> rows,
-                                   std::span<std::uint32_t> out) const {
-  const std::size_t m = lo_.size();
-  if (m == 0) throw std::invalid_argument("Quantizer: not fitted");
-  if (rows.size() % m != 0) throw std::invalid_argument("Quantizer: rows not a multiple of width");
-  if (out.size() < rows.size()) throw std::invalid_argument("Quantizer: output buffer too small");
-  const std::size_t n = rows.size() / m;
-  // Field-major sweep: one column's constants stay in registers across all
-  // n rows. Strided but bit-exact with per-row quantize_into.
-  for (std::size_t j = 0; j < m; ++j) {
-    const double lo = lo_[j];
-    const double span = hi_[j] - lo_[j];
-    const double dmax = static_cast<double>(domain_max());
-    const std::uint32_t top = domain_max();
-    for (std::size_t i = 0; i < n; ++i) {
-      const double x = rows[i * m + j];
-      if (std::isnan(x)) {
-        out[i * m + j] = 0;
-        continue;
-      }
-      const double scaled = (x - lo) / span * dmax;
-      out[i * m + j] = scaled <= 0.0
-                           ? 0u
-                           : (scaled >= dmax ? top : static_cast<std::uint32_t>(scaled));
-    }
-  }
-}
-
 double Quantizer::dequantize(std::size_t field, std::uint32_t q) const {
   const double z = (static_cast<double>(q) + 0.5) / (static_cast<double>(domain_max()) + 1.0);
   return lo_[field] + z * (hi_[field] - lo_[field]);

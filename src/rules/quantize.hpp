@@ -37,20 +37,6 @@ class Quantizer {
   /// pipeline's per-packet path uses this with stack buffers.
   void quantize_into(std::span<const double> x, std::span<std::uint32_t> out) const;
 
-  /// Columnar batch quantisation: quantise `v.size()` values of one field
-  /// into `out` (which must be at least that large). Per-element results are
-  /// identical to quantize_value(field, v[i]) — the field's span constants
-  /// are merely hoisted out of the loop — so batched and per-key paths stay
-  /// bit-exact. Allocation-free.
-  void quantize_batch_into(std::size_t field, std::span<const double> v,
-                           std::span<std::uint32_t> out) const;
-
-  /// Row-major batch quantisation: `rows` holds n×field_count() feature
-  /// rows; `out` receives the n×field_count() quantised keys in the same
-  /// layout. Loops field-major internally (one quantize_batch_into per
-  /// column), bit-exact with n calls to quantize_into. Allocation-free.
-  void quantize_rows_into(std::span<const double> rows, std::span<std::uint32_t> out) const;
-
   std::uint32_t quantize_value(std::size_t field, double v) const;
 
   /// Inverse map of a quantised level to the centre of its bucket.

@@ -95,6 +95,7 @@ struct CrashWindow {
   double duration_s = 0.0;
 
   double end_s() const { return start_s + duration_s; }
+  bool operator==(const CrashWindow&) const = default;
 };
 
 /// One offered-load burst at the ingest boundary: while ts is inside
@@ -107,6 +108,7 @@ struct BurstWindow {
   double multiplier = 2.0;  // offered-load scale inside the window, >= 1
 
   double end_s() const { return start_s + duration_s; }
+  bool operator==(const BurstWindow&) const = default;
 };
 
 /// Largest per-window burst multiplier validate_config accepts. The mangler
@@ -146,6 +148,8 @@ struct FaultConfig {
     return record_truncate_rate > 0.0 || record_corrupt_rate > 0.0 ||
            batch_duplicate_rate > 0.0 || batch_reorder_rate > 0.0 || !bursts.empty();
   }
+
+  bool operator==(const FaultConfig&) const = default;
 };
 
 /// Structured configuration error: the offending struct + field, preserved

@@ -1,7 +1,5 @@
 #include "switchsim/pipeline.hpp"
 
-#include <algorithm>
-#include <chrono>
 #include <stdexcept>
 
 namespace iguard::switchsim {
@@ -52,7 +50,7 @@ Pipeline::Pipeline(const PipelineConfig& cfg, const DeployedModel& model)
                                        cfg_.metrics, cfg_.metrics_prefix);
     controller_.set_update_sink(swap_.get());
     bind_bundle(swap_->pin_current());
-  } else if (cfg_.match_engine == MatchEngine::kCompiled) {
+  } else {
     if (model_.fl_compiled != nullptr) {
       fl_engine_ = model_.fl_compiled;
     } else {
@@ -76,8 +74,6 @@ void Pipeline::bind_bundle(const core::ModelBundle* b) {
   model_.pl_quantizer = b->has_pl() ? &b->pl_q : nullptr;
   fl_engine_ = &b->fl_compiled;
   pl_engine_ = b->has_pl() ? &b->pl_compiled : nullptr;
-  // Any precomputed batch hints now describe a retired version.
-  hints_stale_ = true;
 }
 
 int Pipeline::classify_pl(const traffic::Packet& p) const {
@@ -87,8 +83,7 @@ int Pipeline::classify_pl(const traffic::Packet& p) const {
                                  static_cast<double>(p.length), static_cast<double>(p.ttl)};
   std::array<std::uint32_t, kPlFeatures> key;
   model_.pl_quantizer->quantize_into(f, key);
-  return cfg_.match_engine == MatchEngine::kCompiled ? pl_engine_->classify(key)
-                                                     : model_.pl_tables->classify(key);
+  return pl_engine_->classify(key);
 }
 
 void Pipeline::finalize_flow(const traffic::Packet& p, std::uint64_t flow_key, IntFlowState& st,
@@ -96,9 +91,7 @@ void Pipeline::finalize_flow(const traffic::Packet& p, std::uint64_t flow_key, I
   const auto f = st.finalize();
   std::array<std::uint32_t, kSwitchFlFeatures> key;
   model_.fl_quantizer->quantize_into(f, key);
-  const int label = cfg_.match_engine == MatchEngine::kCompiled
-                        ? fl_engine_->classify(key)
-                        : model_.fl_tables->classify(key);
+  const int label = fl_engine_->classify(key);
   st.label = static_cast<std::int8_t>(label);
   ++stats.flows_classified;
   // Digest (5-tuple + label) regardless of match outcome (§2, step 10a),
@@ -123,67 +116,7 @@ void Pipeline::finalize_flow(const traffic::Packet& p, std::uint64_t flow_key, I
   ++stats.green_mirrors;
 }
 
-void Pipeline::compute_pl_hints(std::span<const traffic::Packet> pkts, std::size_t from) {
-  const std::size_t n = pkts.size();
-  if (model_.pl_tables == nullptr || model_.pl_quantizer == nullptr) {
-    // No early-packet stage deployed: classify_pl answers 0 for everything.
-    std::fill(batch_hints_.begin() + static_cast<std::ptrdiff_t>(from),
-              batch_hints_.begin() + static_cast<std::ptrdiff_t>(n), 0);
-    return;
-  }
-  for (std::size_t i = from; i < n; ++i) {
-    const traffic::Packet& p = pkts[i];
-    double* row = batch_rows_.data() + i * kPlFeatures;
-    row[0] = static_cast<double>(p.ft.dst_port);
-    row[1] = static_cast<double>(p.ft.proto);
-    row[2] = static_cast<double>(p.length);
-    row[3] = static_cast<double>(p.ttl);
-  }
-  const std::size_t m = n - from;
-  model_.pl_quantizer->quantize_rows_into(
-      std::span<const double>(batch_rows_.data() + from * kPlFeatures, m * kPlFeatures),
-      std::span<std::uint32_t>(batch_keys_.data() + from * kPlFeatures, m * kPlFeatures));
-  if (cfg_.match_engine == MatchEngine::kCompiled) {
-    pl_engine_->classify_batch(
-        std::span<const std::uint32_t>(batch_keys_.data() + from * kPlFeatures,
-                                       m * kPlFeatures),
-        kPlFeatures, std::span<int>(batch_hints_.data() + from, m));
-  } else {
-    for (std::size_t i = from; i < n; ++i) {
-      batch_hints_[i] = model_.pl_tables->classify(
-          std::span<const std::uint32_t>(batch_keys_.data() + i * kPlFeatures, kPlFeatures));
-    }
-  }
-}
-
-void Pipeline::process_batch(std::span<const traffic::Packet> pkts, SimStats& stats) {
-  const std::size_t n = pkts.size();
-  if (n == 0) return;
-  if (batch_rows_.size() < n * kPlFeatures) {
-    // One-time growth to the largest batch seen; steady state reuses it.
-    batch_rows_.resize(n * kPlFeatures);
-    batch_keys_.resize(n * kPlFeatures);
-    batch_hints_.resize(n);
-  }
-  compute_pl_hints(pkts, 0);
-  hints_stale_ = false;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (hints_stale_) {
-      // A swap rebound the model mid-batch (packet i-1, or i itself via the
-      // scalar fallback inside process_hinted): re-derive the remaining
-      // hints from the now-live version before trusting any of them.
-      compute_pl_hints(pkts, i);
-      hints_stale_ = false;
-    }
-    process_hinted(pkts[i], stats, batch_hints_[i]);
-  }
-}
-
 int Pipeline::process(const traffic::Packet& p, SimStats& stats) {
-  return process_hinted(p, stats, -1);
-}
-
-int Pipeline::process_hinted(const traffic::Packet& p, SimStats& stats, int pl_hint) {
   // Latency scope for the per-path histograms: t0 is captured up front (the
   // handle is active iff a registry is attached) and the destination is
   // re-targeted once the packet's path is known.
@@ -204,11 +137,6 @@ int Pipeline::process_hinted(const traffic::Packet& p, SimStats& stats, int pl_h
   // The one bidirectional flow key this packet needs: blacklist lookup,
   // malicious-classified marking, and the leak check all share it.
   const std::uint64_t flow_key = BlacklistTable::flow_key(p.ft);
-  // The precomputed PL verdict is usable only if no swap rebound the model
-  // since the batch's hints were derived (including the rebind just above).
-  const auto pl_verdict = [&] {
-    return pl_hint >= 0 && !hints_stale_ ? pl_hint : classify_pl(p);
-  };
   int verdict = 0;
   Path path = Path::kRed;
 
@@ -232,7 +160,7 @@ int Pipeline::process_hinted(const traffic::Packet& p, SimStats& stats, int pl_h
         resident.update(p, store_.signature(p.ft));
         ++stats.green_mirrors;  // loopback mirror re-initialises flow ID
       }
-      verdict = pl_verdict();
+      verdict = classify_pl(p);
     } else {
       IntFlowState& st = *acc.state;
       if (acc.found && st.label >= 0) {
@@ -260,7 +188,7 @@ int Pipeline::process_hinted(const traffic::Packet& p, SimStats& stats, int pl_h
           path = Path::kBlue;
           finalize_flow(p, flow_key, st, stats);
           st.update(p, store_.signature(p.ft));
-          verdict = pl_verdict();
+          verdict = classify_pl(p);
         } else {
           st.update(p, store_.signature(p.ft));
           if (cfg_.packet_threshold_n > 0 && st.pkt_count >= cfg_.packet_threshold_n) {
@@ -273,7 +201,7 @@ int Pipeline::process_hinted(const traffic::Packet& p, SimStats& stats, int pl_h
             // --- brown -----------------------------------------------------
             count(stats, Path::kBrown);
             path = Path::kBrown;
-            verdict = pl_verdict();
+            verdict = classify_pl(p);
           }
         }
       }
@@ -314,14 +242,7 @@ SimStats Pipeline::run(const traffic::Trace& trace) {
     stats.pred.reserve(trace.size());
     stats.truth.reserve(trace.size());
   }
-  if (cfg_.batch_size > 1) {
-    const std::span<const traffic::Packet> all(trace.packets);
-    for (std::size_t base = 0; base < all.size(); base += cfg_.batch_size) {
-      process_batch(all.subspan(base, std::min(cfg_.batch_size, all.size() - base)), stats);
-    }
-  } else {
-    for (const auto& p : trace.packets) process(p, stats);
-  }
+  for (const auto& p : trace.packets) process(p, stats);
   finish_stream(stats);
   return stats;
 }

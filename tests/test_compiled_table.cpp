@@ -7,6 +7,9 @@
 #include "ml/rng.hpp"
 #include "rules/compiled_table.hpp"
 #include "rules/rule_table.hpp"
+#include "switchsim/flow_state.hpp"
+#include "trafficgen/attacks.hpp"
+#include "trafficgen/benign.hpp"
 
 namespace iguard::rules {
 namespace {
@@ -145,106 +148,65 @@ TEST(CompiledRuleTable, DomainEdgeRanges) {
   }
 }
 
-TEST(CompiledRuleTable, BatchPropertyBitExactWithScalar) {
-  // The batched entry points must reproduce per-key scalar lookups exactly:
-  // random tables, batch sizes straddling the internal 64-key chunk, keys
-  // spanning in-domain / out-of-domain / endpoint-adjacent values.
-  ml::Rng rng(0xBA7C4ull);
-  for (int trial = 0; trial < 60; ++trial) {
-    const std::size_t width = 1 + rng.index(5);
-    const std::uint32_t domain = trial % 2 == 0 ? 15u : 255u;
-    const std::size_t n_rules = rng.index(90);  // >64 rules crosses mask words
-    std::vector<RangeRule> rules;
-    for (std::size_t i = 0; i < n_rules; ++i) rules.push_back(random_rule(rng, width, domain));
-    const CompiledRuleTable comp(rules);
-
-    const std::size_t n = 1 + rng.index(150);
-    std::vector<std::uint32_t> keys(n * width);
-    for (auto& v : keys) v = static_cast<std::uint32_t>(rng.integer(0, 2 * domain));
-    std::vector<int> got_idx(n, -7);
-    std::vector<std::uint8_t> got_any(n, 7);
-    std::vector<int> got_cls(n, -7);
-    comp.match_index_batch(keys, width, got_idx);
-    comp.matches_any_batch(keys, width, got_any);
-    comp.classify_batch(keys, width, got_cls);
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::span<const std::uint32_t> key(keys.data() + i * width, width);
-      ASSERT_EQ(got_idx[i], comp.match_index(key));
-      ASSERT_EQ(got_any[i], comp.matches_any(key) ? 1 : 0);
-      ASSERT_EQ(got_cls[i], comp.classify(key));
-    }
-
-    // Skip mask: marked keys must be left untouched, unmarked ones exact.
-    std::vector<std::uint8_t> skip(n);
-    for (auto& s : skip) s = static_cast<std::uint8_t>(rng.index(2));
-    std::vector<int> skipped_idx(n, -7);
-    std::vector<std::uint8_t> skipped_any(n, 7);
-    comp.match_index_batch(keys, width, skipped_idx, skip.data());
-    comp.matches_any_batch(keys, width, skipped_any, skip.data());
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::span<const std::uint32_t> key(keys.data() + i * width, width);
-      ASSERT_EQ(skipped_idx[i], skip[i] != 0 ? -7 : comp.match_index(key));
-      ASSERT_EQ(skipped_any[i], skip[i] != 0 ? 7 : (comp.matches_any(key) ? 1 : 0));
-    }
-  }
-}
-
-TEST(CompiledRuleTable, BatchNoGroupAndWideWidthFallbacks) {
-  // Width with no rule group: every out slot is a miss. Width past
-  // kMaxBatchWidth: the per-key scalar fallback must still be exact.
-  std::vector<RangeRule> rules{{{{0, 10}, {0, 10}}, 0, 0}};
-  const CompiledRuleTable comp(rules);
-  std::vector<std::uint32_t> k3(9, 5);
-  std::vector<int> idx(3, -7);
-  comp.match_index_batch(k3, 3, idx);
-  EXPECT_EQ(idx, (std::vector<int>{-1, -1, -1}));
-
-  const std::size_t wide = CompiledRuleTable::kMaxBatchWidth + 3;
-  std::vector<RangeRule> wide_rules{{std::vector<FieldRange>(wide, FieldRange{2, 8}), 0, 0}};
-  const CompiledRuleTable wcomp(wide_rules);
-  std::vector<std::uint32_t> wkeys(2 * wide, 5);
-  wkeys[wide] = 100;  // second key misses
-  std::vector<int> widx(2, -7);
-  wcomp.match_index_batch(wkeys, wide, widx);
-  EXPECT_EQ(widx[0], 0);
-  EXPECT_EQ(widx[1], -1);
-  std::vector<int> wcls(2, -7);
-  wcomp.classify_batch(wkeys, wide, wcls);
-  EXPECT_EQ(wcls[0], 0);
-  EXPECT_EQ(wcls[1], 1);
-}
-
-TEST(CompiledVoteWhitelist, BatchVoteBitExactWithScalar) {
-  ml::Rng rng(0xB07E5ull);
-  for (const std::size_t trees : {1u, 2u, 5u, 8u}) {
-    core::VoteWhitelist wl;
-    wl.tree_count = trees;
-    for (std::size_t t = 0; t < trees; ++t) {
-      std::vector<RangeRule> rules;
-      const std::size_t n = 1 + rng.index(20);
-      for (std::size_t i = 0; i < n; ++i) rules.push_back(random_rule(rng, 4, 31));
-      wl.tables.emplace_back(std::move(rules));
-    }
-    const core::CompiledVoteWhitelist comp(wl);
-    // Batch sizes straddling the vote kernel's 256-key block.
-    for (const std::size_t n : {1u, 64u, 255u, 256u, 300u}) {
-      std::vector<std::uint32_t> keys(n * 4);
-      for (auto& v : keys) v = static_cast<std::uint32_t>(rng.integer(0, 40));
-      std::vector<int> got(n, -7);
-      comp.classify_batch(keys, 4, got);
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::span<const std::uint32_t> key(keys.data() + i * 4, 4);
-        ASSERT_EQ(got[i], wl.classify(key));
-      }
-    }
-  }
-}
-
 TEST(CompiledRuleTable, EmptyTableMatchesNothing) {
   const CompiledRuleTable comp{RuleTable{}};
   const std::uint32_t key[] = {0, 1};
   EXPECT_EQ(comp.match_index(key), -1);
   EXPECT_EQ(comp.classify(key), 1);  // no-match defaults to malicious
+}
+
+/// Deployment-scale vote whitelist: `tables` x `rules_per_table` boxes of
+/// half-width domain/6 around sampled feature rows (the shape of
+/// bench_throughput's synthetic deployment).
+core::VoteWhitelist sampled_whitelist(const ml::Matrix& rows, const Quantizer& q,
+                                      std::size_t tables, std::size_t rules_per_table,
+                                      ml::Rng& rng) {
+  core::VoteWhitelist wl;
+  wl.tree_count = tables;
+  const std::uint32_t dmax = q.domain_max();
+  const std::uint32_t half = dmax / 6;
+  for (std::size_t t = 0; t < tables; ++t) {
+    std::vector<RangeRule> tree_rules;
+    for (std::size_t r = 0; r < rules_per_table; ++r) {
+      const auto row = rows.row(rng.index(rows.rows()));
+      std::vector<FieldRange> box(rows.cols());
+      for (std::size_t j = 0; j < box.size(); ++j) {
+        const std::uint32_t v = q.quantize_value(j, row[j]);
+        box[j] = {v > half ? v - half : 0, v < dmax - half ? v + half : dmax};
+      }
+      tree_rules.push_back({std::move(box), 0, static_cast<int>(r)});
+    }
+    wl.tables.emplace_back(std::move(tree_rules));
+  }
+  return wl;
+}
+
+/// Per-packet PL feature rows: {dst_port, proto, length, ttl}.
+ml::Matrix pl_features(const traffic::Trace& trace) {
+  ml::Matrix rows(trace.size(), 4);
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const auto& p = trace.packets[i];
+    rows(i, 0) = static_cast<double>(p.ft.dst_port);
+    rows(i, 1) = static_cast<double>(p.ft.proto);
+    rows(i, 2) = static_cast<double>(p.length);
+    rows(i, 3) = static_cast<double>(p.ttl);
+  }
+  return rows;
+}
+
+/// Compiled and linear votes agree on every key; returns how many keys the
+/// vote called malicious so callers can check both verdicts were exercised.
+std::size_t expect_votes_identical(const core::VoteWhitelist& wl,
+                                   const core::CompiledVoteWhitelist& comp,
+                                   const std::vector<std::vector<std::uint32_t>>& keys) {
+  std::size_t malicious = 0;
+  for (const auto& key : keys) {
+    const int want = wl.classify(key);
+    EXPECT_EQ(comp.classify(key), want);
+    EXPECT_DOUBLE_EQ(comp.malicious_vote_fraction(key), wl.malicious_vote_fraction(key));
+    malicious += want == 1 ? 1 : 0;
+  }
+  return malicious;
 }
 
 TEST(CompiledVoteWhitelist, VoteIdenticalToLinear) {
@@ -264,6 +226,54 @@ TEST(CompiledVoteWhitelist, VoteIdenticalToLinear) {
     ASSERT_EQ(comp.classify(key), wl.classify(key));
     ASSERT_DOUBLE_EQ(comp.malicious_vote_fraction(key), wl.malicious_vote_fraction(key));
   }
+
+  // Real keys against a deployment-scale table set. The pipeline's only
+  // engine-dependent step is classify(key), so agreeing on the FL keys of
+  // every finalised flow and the PL key of every packet of an attack-heavy
+  // trace is agreement on the whole replay.
+  traffic::BenignConfig bcfg;
+  bcfg.flows = 40;
+  traffic::AttackConfig acfg;
+  acfg.flows = 200;
+  const traffic::Trace benign = traffic::benign_trace(bcfg, rng);
+  std::vector<traffic::Trace> parts{benign};
+  for (const auto type : {traffic::AttackType::kMirai, traffic::AttackType::kAidra,
+                          traffic::AttackType::kOsScan}) {
+    parts.push_back(traffic::attack_trace(type, acfg, rng));
+  }
+  const traffic::Trace trace = traffic::merge_traces(std::move(parts));
+
+  // FL: quantizer and whitelist fitted on benign flows, as in deployment;
+  // keys from every flow record of the mixed trace.
+  const auto benign_fl = switchsim::extract_switch_features(benign, 8, 10.0);
+  Quantizer fl_q(16);
+  fl_q.fit(benign_fl.x);
+  const core::VoteWhitelist fl = sampled_whitelist(benign_fl.x, fl_q, 5, 512, rng);
+  const core::CompiledVoteWhitelist fl_comp(fl);
+  const auto fl_rows = switchsim::extract_switch_features(trace, 8, 10.0);
+  std::vector<std::vector<std::uint32_t>> fl_keys;
+  for (std::size_t i = 0; i < fl_rows.x.rows(); ++i) {
+    fl_keys.push_back(fl_q.quantize(fl_rows.x.row(i)));
+  }
+
+  // PL: {dst_port, proto, length, ttl} of each packet; fitted on the
+  // benign packets, keys from every packet of the mixed trace.
+  const ml::Matrix benign_pl = pl_features(benign);
+  Quantizer pl_q(16);
+  pl_q.fit(benign_pl);
+  const core::VoteWhitelist pl = sampled_whitelist(benign_pl, pl_q, 5, 512, rng);
+  const core::CompiledVoteWhitelist pl_comp(pl);
+  const ml::Matrix pl_rows = pl_features(trace);
+  std::vector<std::vector<std::uint32_t>> pl_keys;
+  for (std::size_t i = 0; i < pl_rows.rows(); ++i) pl_keys.push_back(pl_q.quantize(pl_rows.row(i)));
+
+  // Both verdicts must occur, or agreement would prove little.
+  const std::size_t fl_mal = expect_votes_identical(fl, fl_comp, fl_keys);
+  EXPECT_GT(fl_mal, 0u);
+  EXPECT_LT(fl_mal, fl_keys.size());
+  const std::size_t pl_mal = expect_votes_identical(pl, pl_comp, pl_keys);
+  EXPECT_GT(pl_mal, 0u);
+  EXPECT_LT(pl_mal, pl_keys.size());
 }
 
 TEST(Quantizer, QuantizeIntoMatchesQuantize) {

@@ -423,11 +423,12 @@ TEST(Daemon, StructuralReloadIsRejectedWithAReason) {
   const std::string path =
       write_temp("daemon_reject.csv", io::trace_to_csv(make_trace(6, 4)));
   DaemonConfig cfg = base_config(path);
+  cfg.pipeline.control.faults.crashes = {{100.0, 1.0}};  // after the trace ends
   Daemon d(cfg, model.dm);
 
   DaemonConfig next = d.config_snapshot();
   next.shards = 4;
-  const std::string reason = d.request_reload(next);
+  std::string reason = d.request_reload(next);
   EXPECT_NE(reason.find("shards"), std::string::npos);
   EXPECT_NE(reason.find("restart"), std::string::npos);
 
@@ -435,10 +436,33 @@ TEST(Daemon, StructuralReloadIsRejectedWithAReason) {
   bad.ring_capacity = 0;
   EXPECT_FALSE(d.request_reload(bad).empty());
 
+  // The quarantine ring is sized once, at construction: a new capacity
+  // would be accepted and never applied.
+  DaemonConfig quarantine = d.config_snapshot();
+  quarantine.reader.limits.quarantine_capacity += 16;
+  reason = d.request_reload(quarantine);
+  EXPECT_NE(reason.find("reader.limits.quarantine_capacity"), std::string::npos);
+  EXPECT_NE(reason.find("restart required"), std::string::npos);
+
+  // Same for the controller's fault programme: moving a crash window keeps
+  // the window count, so it must be compared by value.
+  DaemonConfig moved = d.config_snapshot();
+  moved.pipeline.control.faults.crashes[0].start_s = 200.0;
+  reason = d.request_reload(moved);
+  EXPECT_NE(reason.find("pipeline.control.faults"), std::string::npos);
+  EXPECT_NE(reason.find("restart required"), std::string::npos);
+
+  // And for the swap loop's drift detector settings.
+  DaemonConfig drift = d.config_snapshot();
+  drift.pipeline.swap.drift.window += 1;
+  reason = d.request_reload(drift);
+  EXPECT_NE(reason.find("pipeline.swap.drift"), std::string::npos);
+  EXPECT_NE(reason.find("restart required"), std::string::npos);
+
   d.run_synchronous();
   const DaemonStats s = d.stats();
   EXPECT_EQ(s.reloads_applied, 0u);
-  EXPECT_EQ(s.reloads_rejected, 2u);
+  EXPECT_EQ(s.reloads_rejected, 5u);
   EXPECT_EQ(audit_daemon_conservation(s), "");
 }
 
@@ -511,6 +535,9 @@ TEST(ConfigFile, ParsesKnobsAndRejectsTypos) {
   EXPECT_EQ(parse_config_text("shards = two\n", c2),
             "line 1: value 'two' for shards (want uint)");
   EXPECT_EQ(parse_config_text("shards\n", c2), "line 1: expected key = value");
+  // The pipeline has no batch staging to configure.
+  EXPECT_EQ(parse_config_text("pipeline.batch_size = 32\n", c2),
+            "line 1: unknown key 'pipeline.batch_size'");
 }
 
 // --- http endpoint ----------------------------------------------------------

@@ -235,23 +235,6 @@ TEST_F(ReplayTest, SharedPrecompiledTablesMatchOwnCompilation) {
   EXPECT_EQ(a.stats.flows_classified, b.stats.flows_classified);
 }
 
-TEST_F(ReplayTest, LinearAndCompiledEnginesAgreeOnReplay) {
-  ml::Rng rng(29);
-  const auto trace = make_trace(80, 8, rng);
-  const auto dm = model();
-  PipelineConfig lin = pipe_cfg();
-  lin.match_engine = MatchEngine::kLinear;
-  PipelineConfig comp = pipe_cfg();
-  comp.match_engine = MatchEngine::kCompiled;
-  Pipeline a(lin, dm), b(comp, dm);
-  const auto sa = a.run(trace);
-  const auto sb = b.run(trace);
-  EXPECT_EQ(sa.pred, sb.pred);
-  EXPECT_EQ(sa.dropped, sb.dropped);
-  EXPECT_EQ(sa.path_count, sb.path_count);
-  EXPECT_EQ(sa.flows_classified, sb.flows_classified);
-}
-
 // --- model-swap determinism matrix ------------------------------------------
 
 /// Three-table vote whitelist over min packet size (feature 5): two broad
